@@ -714,40 +714,31 @@ let client socket tcp tcp_host op policy k seed workload n universe block_size
   (* The resilient client rides over a supervised restart mid-request:
      classified transport failures (refused/timeout/reset) and overloaded
      sheds retry with jittered backoff; protocol faults and draining
-     replies fail fast.  With --endpoint the multi-endpoint mode adds
-     rotation across the listed replicas, same-attempt failover, and
-     (with --hedge-ms) hedged requests. *)
-  let result =
+     replies fail fast.  Over several --endpoint replicas it adds
+     rotation, same-attempt failover, and (with --hedge-ms) hedged
+     requests; --socket/--tcp is a set of one. *)
+  let endpoints =
     match endpoints with
-    | [] ->
-        let rc =
-          Gc_resil.Resilient_client.create ~timeout ~retry
-            (addr ~socket ~tcp ~tcp_host)
-        in
-        let r = Gc_resil.Resilient_client.request rc request in
-        Gc_resil.Resilient_client.close rc;
-        r
-    | eps ->
-        let module Multi = Gc_resil.Resilient_client.Multi in
-        let hedge =
-          Option.map
-            (fun ms ->
-              let d = Float.of_int ms /. 1000. in
-              {
-                Multi.default_hedge with
-                Multi.min_delay = d;
-                max_delay = d;
-                initial_delay = d;
-              })
-            hedge_ms
-        in
-        let mc =
-          Multi.create ~timeout ~retry ?hedge (List.map parse_endpoint eps)
-        in
-        let r = Multi.request mc request in
-        Multi.close mc;
-        r
+    | [] -> [ addr ~socket ~tcp ~tcp_host ]
+    | eps -> List.map parse_endpoint eps
   in
+  let hedge =
+    Option.map
+      (fun ms ->
+        let d = Float.of_int ms /. 1000. in
+        {
+          Gc_resil.Resilient_client.default_hedge with
+          Gc_resil.Resilient_client.min_delay = d;
+          max_delay = d;
+          initial_delay = d;
+        })
+      hedge_ms
+  in
+  let rc =
+    Gc_resil.Resilient_client.create_set ~timeout ~retry ?hedge endpoints
+  in
+  let result = Gc_resil.Resilient_client.request rc request in
+  Gc_resil.Resilient_client.close rc;
   match result with
   | Error (Gc_resil.Resilient_client.Rejected (kind, message)) ->
       (* The retry policy (or its budget) gave up on a refusal the server

@@ -1,7 +1,7 @@
 (** A supervised task pool over OCaml 5 domains.
 
-    Where {!Gc_cache.Parallel.map} is a bare fan-out, this pool is the
-    runtime for long parameter sweeps: every task gets its own domain and
+    The tree's one runtime for domain fan-out, from a bare parallel map
+    to long parameter sweeps: every task gets its own domain and
     {!Cancel.t} token, a monitor enforces per-task wall-clock deadlines,
     transient failures retry with exponential backoff, and an interrupt
     token drains the pool gracefully (in-flight tasks finish, pending ones

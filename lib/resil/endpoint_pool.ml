@@ -47,7 +47,7 @@ let validate c =
 
 type endpoint = {
   e_addr : Client.addr;
-  e_breaker : Breaker.t;
+  e_breaker : Breaker.t option;
   mutable e_state : state;
   mutable e_fails : int;  (* consecutive failures *)
   mutable e_ewma : float;  (* EWMA latency, seconds; < 0 = no samples *)
@@ -77,6 +77,9 @@ let publish ep =
 let create ?(config = default_config) ?breaker_config ?registry ~seed addrs =
   validate config;
   if addrs = [] then invalid_arg "Endpoint_pool.create: no endpoints";
+  (* A lone endpoint has no failover target: a breaker there would only
+     turn the caller's remaining retries into fast failures. *)
+  let breakers = breaker_config <> None || List.length addrs > 1 in
   let ep addr =
     let name = Client.addr_string addr in
     let e_gauge =
@@ -89,7 +92,10 @@ let create ?(config = default_config) ?breaker_config ?registry ~seed addrs =
     in
     {
       e_addr = addr;
-      e_breaker = Breaker.create ?config:breaker_config ?registry ~name ();
+      e_breaker =
+        (if breakers then
+           Some (Breaker.create ?config:breaker_config ?registry ~name ())
+         else None);
       e_state = Up;
       e_fails = 0;
       e_ewma = -1.;

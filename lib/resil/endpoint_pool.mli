@@ -19,10 +19,13 @@
     deterministic under a fixed request order (the chaos drills rely on
     this).
 
-    Each slot owns a {!Breaker} so one bad replica trips in isolation —
-    the pool holds it so the registry labels line up, but never records
-    outcomes on it: breaker accounting stays with the caller, which
-    knows whether a failure was a real dependency fault or its own
+    Each slot of a replica set owns a {!Breaker} so one bad replica
+    trips in isolation.  A lone endpoint gets none unless a
+    [breaker_config] asks for it: with no failover target, a breaker
+    there would only turn remaining retries into fast failures.  The
+    pool holds the breakers so the registry labels line up, but never
+    records outcomes on them: breaker accounting stays with the caller,
+    which knows whether a failure was a real dependency fault or its own
     cancellation.  The pool itself never dials anything: callers report
     outcomes via {!note_ok} / {!note_failure} (or {!note_probe} for
     out-of-band health probes) and the pool only decides {e where to
@@ -68,7 +71,9 @@ val create :
 
 val length : t -> int
 val addr : t -> int -> Gc_serve.Client.addr
-val breaker : t -> int -> Breaker.t
+val breaker : t -> int -> Breaker.t option
+(** [None] for a lone endpoint created without a [breaker_config]. *)
+
 val state : t -> int -> state
 
 val states : t -> (string * state) list

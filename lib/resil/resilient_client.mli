@@ -1,8 +1,11 @@
-(** A {!Gc_serve.Client} that survives restarts.
+(** A {!Gc_serve.Client} that survives restarts, over one endpoint or a
+    replica set.
 
-    One value per dependency (or per hammer thread): it owns a connection
-    it transparently re-establishes, a {!Retry} policy, and optionally a
-    shared {!Breaker}.  What a caller gets beyond the raw client:
+    One value per dependency (or per hammer thread).  {!create} points it
+    at one server, {!create_set} at a replica set; both build the same
+    client, which owns one cached connection per endpoint that it
+    transparently re-establishes, a {!Retry} policy, and an
+    {!Endpoint_pool}.  What a caller gets beyond the raw client:
 
     - {b automatic reconnect} — a [Refused]/[Reset]/[Timeout] transport
       failure drops the cached connection and the retry policy dials
@@ -31,68 +34,9 @@
     - {b server backoff hints honoured} — a shed reply's
       [retry_after_ms] stretches the next retry delay to at least the
       hinted, server-jittered value, desynchronizing the retrying fleet.
-
-    Other error replies (usage, timeout, exception, model-violation) are
-    answers, not failures: they come back as [Ok reply] for the caller to
-    interpret, exactly as with the raw client. *)
-
-type t
-
-type failure =
-  | Transport of Gc_serve.Client.error * int
-      (** Classified transport failure and the attempts made. *)
-  | Rejected of string * string
-      (** The server answered [overloaded]/[expired] (retries exhausted
-          or the budget refused them) or [draining]: (kind, message). *)
-  | Open_circuit  (** The breaker refused the call without dialing. *)
-
-val string_of_failure : failure -> string
-
-val create :
-  ?timeout:float ->
-  ?retry:Retry.policy ->
-  ?breaker:Breaker.t ->
-  ?retry_budget:Gc_admit.Token_bucket.t option ->
-  ?seed:int ->
-  Gc_serve.Client.addr ->
-  t
-(** [timeout] (default 60s) bounds each attempt's reply wait; [seed]
-    (default 0) seeds the jitter stream, so a drill replaying a seed
-    replays the backoff schedule.  [retry_budget] defaults to a fresh
-    {!Gc_admit.Token_bucket} with its defaults (10 tokens, 0.2 per
-    success); [None] disables budgeting, [Some b] shares [b].  Requests
-    on one [t] are serialized — share a breaker, not a [t], across
-    threads. *)
-
-val request :
-  ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
-(** Send one request, retrying per policy.  [idempotent] (default [true])
-    gates every retry; with [~idempotent:false] the first classified
-    failure is final. *)
-
-val close : t -> unit
-(** Drop the cached connection (idempotent; [t] remains usable). *)
-
-val reconnects : t -> int
-(** Connections established after the first — the restarts this client
-    has ridden through. *)
-
-val retries : t -> int
-(** Attempts beyond the first, summed over all requests. *)
-
-val budget_tokens : t -> float option
-(** Tokens left in the retry budget; [None] when budgeting is off. *)
-
-val budget_denials : t -> int
-(** Retries the budget refused — each one a request the server did not
-    have to shed again.  Always 0 when budgeting is off. *)
-
-(** The multi-endpoint mode: one client over a replica set.
-
-    Everything the single client does — reconnect, id-echo dedupe,
-    rejection classification, retry budget, backoff hints — plus:
-
-    - {b health-aware routing} via an {!Endpoint_pool}: up / suspect /
+      The retry policy's wall-clock [budget] still caps the stretched
+      delay;
+    - {b health-aware routing} via the {!Endpoint_pool}: up / suspect /
       down states driven by observed outcomes, jittered re-probe of down
       replicas, power-of-two-choices on observed latency (deterministic
       rotation until two latency samples exist, or with [p2c] off);
@@ -104,83 +48,133 @@ val budget_denials : t -> int
       rounds, when every eligible replica has failed;
     - {b per-endpoint breakers} — one {!Breaker} per replica, so a
       single melting endpoint trips in isolation while the rest of the
-      set keeps serving;
-    - {b hedged requests} (opt-in) — when an idempotent request has not
-      settled within a hedge delay derived from a latency quantile
-      (clamped to [[min_delay, max_delay]]; [initial_delay] before the
-      first sample), a second attempt fires at another Up replica.
-      First reply wins; the loser's blocked read is woken by a socket
-      shutdown and its result discarded, which the id-echo dedupe makes
-      safe.  Hedges only target replicas with a Closed breaker, so a
-      cancelled loser can never strand the half-open probe slot.
+      set keeps serving.  Without [breaker_config], a set of two or
+      more endpoints gets one default breaker per endpoint and a lone
+      endpoint gets none: with no failover target, a breaker there would
+      only turn the remaining retries into {!Open_circuit}.  With
+      [breaker_config], every endpoint gets a breaker;
+    - {b hedged requests} (opt-in, two or more endpoints) — when an
+      idempotent request has not settled within a hedge delay derived
+      from a latency quantile (clamped to [[min_delay, max_delay]];
+      [initial_delay] before the first sample), a second attempt fires
+      at another Up replica.  First reply wins; the loser's blocked read
+      is woken by a socket shutdown and its result discarded, which the
+      id-echo dedupe makes safe.  Hedges only target replicas with a
+      Closed breaker, so a cancelled loser can never strand the
+      half-open probe slot.
+
+    Over one endpoint there is nothing to route, fail over to or hedge
+    at: the client is exactly a reconnecting, retrying connection.
+
+    Other error replies (usage, timeout, exception, model-violation) are
+    answers, not failures: they come back as [Ok reply] for the caller to
+    interpret, exactly as with the raw client.
 
     The [hedges] / [hedge_wins] / [failovers] counters and the
     per-endpoint [endpoint_state] / [breaker_state] gauges flow into a
     registry when one is given, and out through the accessors below for
     drill reconciliation. *)
-module Multi : sig
-  type hedge_config = {
-    quantile : float;  (** Latency quantile that sets the hedge delay. *)
-    min_delay : float;  (** Clamp floor, seconds. *)
-    max_delay : float;  (** Clamp ceiling, seconds. *)
-    initial_delay : float;  (** Delay before any latency sample exists. *)
-  }
 
-  val default_hedge : hedge_config
-  (** p90, clamped to [[10ms, 500ms]], 50ms before the first sample. *)
+type t
 
-  type t
+type failure =
+  | Transport of Gc_serve.Client.error * int
+      (** Classified transport failure and the attempts made. *)
+  | Rejected of string * string
+      (** The server answered [overloaded]/[expired] (retries exhausted
+          or the budget refused them) or [draining]: (kind, message). *)
+  | Open_circuit  (** Every breaker refused the call without dialing. *)
 
-  val create :
-    ?timeout:float ->
-    ?retry:Retry.policy ->
-    ?retry_budget:Gc_admit.Token_bucket.t option ->
-    ?hedge:hedge_config ->
-    ?pool_config:Endpoint_pool.config ->
-    ?breaker_config:Breaker.config ->
-    ?registry:Gc_obs.Registry.t ->
-    ?probe_interval:float ->
-    ?seed:int ->
-    Gc_serve.Client.addr list ->
-    t
-  (** Defaults match the single client; [hedge] [None] disables hedging.
-      [probe_interval] starts a background prober thread that
-      health-checks re-probe-due endpoints every interval (stopped by
-      {!close}); without it, call {!probe} yourself — down endpoints
-      still recover through live-traffic re-probes either way.  Raises
-      [Invalid_argument] on an empty endpoint list. *)
+val string_of_failure : failure -> string
 
-  val request :
-    ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
-  (** As the single client's {!request}; failover and hedging engage
-      only when [idempotent] (the default). *)
+type hedge_config = {
+  quantile : float;  (** Latency quantile that sets the hedge delay. *)
+  min_delay : float;  (** Clamp floor, seconds. *)
+  max_delay : float;  (** Clamp ceiling, seconds. *)
+  initial_delay : float;  (** Delay before any latency sample exists. *)
+}
 
-  val probe : t -> unit
-  (** Health-check every endpoint whose re-probe deadline has passed,
-      updating pool states.  Out-of-band: safe to call from another
-      thread while requests are in flight. *)
+val default_hedge : hedge_config
+(** p90, clamped to [[10ms, 500ms]], 50ms before the first sample. *)
 
-  val close : t -> unit
-  (** Stop the prober (when running) and drop every cached connection;
-      [t] remains usable. *)
+val create_set :
+  ?timeout:float ->
+  ?retry:Retry.policy ->
+  ?retry_budget:Gc_admit.Token_bucket.t option ->
+  ?hedge:hedge_config ->
+  ?pool_config:Endpoint_pool.config ->
+  ?breaker_config:Breaker.config ->
+  ?registry:Gc_obs.Registry.t ->
+  ?probe_interval:float ->
+  ?seed:int ->
+  Gc_serve.Client.addr list ->
+  t
+(** A client over a replica set.  [timeout] (default 60s) bounds each
+    attempt's reply wait; [seed] (default 0) seeds the jitter stream, so
+    a drill replaying a seed replays the backoff schedule (the endpoint
+    pool draws from [seed + 1]).  [retry_budget] defaults to a fresh
+    {!Gc_admit.Token_bucket} with its defaults (10 tokens, 0.2 per
+    success); [None] disables budgeting, [Some b] shares [b].  [hedge]
+    [None] (the default) disables hedging.  [probe_interval] starts a
+    background prober thread that health-checks re-probe-due endpoints
+    every interval (stopped by {!close}); without it, call {!probe}
+    yourself — down endpoints still recover through live-traffic
+    re-probes either way.  Requests on one [t] are serialized — share a
+    retry budget, not a [t], across threads.  Raises [Invalid_argument]
+    on an empty endpoint list. *)
 
-  val pool : t -> Endpoint_pool.t
-  val states : t -> (string * Endpoint_pool.state) list
+val create :
+  ?timeout:float ->
+  ?retry:Retry.policy ->
+  ?retry_budget:Gc_admit.Token_bucket.t option ->
+  ?hedge:hedge_config ->
+  ?pool_config:Endpoint_pool.config ->
+  ?breaker_config:Breaker.config ->
+  ?registry:Gc_obs.Registry.t ->
+  ?probe_interval:float ->
+  ?seed:int ->
+  Gc_serve.Client.addr ->
+  t
+(** [create addr] is [create_set [addr]]. *)
 
-  val retries : t -> int
-  val failovers : t -> int
-  (** Same-attempt switches to another replica after a transport
-      failure or an open breaker. *)
+val request :
+  ?idempotent:bool -> t -> Gc_obs.Json.t -> (Gc_obs.Json.t, failure) result
+(** Send one request, retrying per policy.  [idempotent] (default [true])
+    gates every retry, failover and hedge; with [~idempotent:false] the
+    first classified failure is final. *)
 
-  val hedges : t -> int
-  (** Second attempts fired. *)
+val probe : t -> unit
+(** Health-check every endpoint whose re-probe deadline has passed,
+    updating pool states.  Out-of-band: safe to call from another thread
+    while requests are in flight. *)
 
-  val hedge_wins : t -> int
-  (** Hedged attempts where the {e second} replica's reply won. *)
+val close : t -> unit
+(** Stop the prober (when running) and drop every cached connection
+    (idempotent; [t] remains usable). *)
 
-  val reconnects : t -> int
-  (** Summed over all endpoint channels. *)
+val pool : t -> Endpoint_pool.t
+val states : t -> (string * Endpoint_pool.state) list
 
-  val budget_tokens : t -> float option
-  val budget_denials : t -> int
-end
+val retries : t -> int
+(** Attempts beyond the first, summed over all requests. *)
+
+val reconnects : t -> int
+(** Connections established after the first, summed over all endpoints —
+    the restarts this client has ridden through. *)
+
+val failovers : t -> int
+(** Same-attempt switches to another replica after a transport failure
+    or an open breaker. *)
+
+val hedges : t -> int
+(** Second attempts fired. *)
+
+val hedge_wins : t -> int
+(** Hedged attempts where the {e second} replica's reply won. *)
+
+val budget_tokens : t -> float option
+(** Tokens left in the retry budget; [None] when budgeting is off. *)
+
+val budget_denials : t -> int
+(** Retries the budget refused — each one a request the server did not
+    have to shed again.  Always 0 when budgeting is off. *)

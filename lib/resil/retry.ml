@@ -39,7 +39,8 @@ type 'e give_up = {
   budget_spent : bool;
 }
 
-let run ?(policy = default) ?(sleep = Gc_exec.Pool.nap) ~rng ~retryable f =
+let run ?(policy = default) ?(sleep = Gc_exec.Pool.nap) ?(hint = Fun.const 0.)
+    ~rng ~retryable f =
   if policy.max_attempts < 1 then
     invalid_arg "Retry.run: max_attempts must be >= 1";
   let deadline = Option.map (fun b -> Clock.now_s () +. b) policy.budget in
@@ -57,9 +58,10 @@ let run ?(policy = default) ?(sleep = Gc_exec.Pool.nap) ~rng ~retryable f =
         else if out_of_budget () then
           Error { attempts = attempt; last_error = e; budget_spent = true }
         else begin
-          let d = delay_for policy ~rng ~attempt in
-          (* Never sleep past the budget: trim the delay to what is left,
-             and if nothing is, report the budget as the stopper. *)
+          let d = Float.max (delay_for policy ~rng ~attempt) (hint ()) in
+          (* Never sleep past the budget, not even on a hint: trim the
+             delay to what is left, and if nothing is, report the budget
+             as the stopper. *)
           let d =
             match deadline with
             | None -> d

@@ -49,6 +49,7 @@ type 'e give_up = {
 val run :
   ?policy:policy ->
   ?sleep:(float -> unit) ->
+  ?hint:(unit -> float) ->
   rng:Gc_trace.Rng.t ->
   retryable:('e -> bool) ->
   (attempt:int -> ('a, 'e) result) ->
@@ -57,4 +58,7 @@ val run :
     until one succeeds, an error is not [retryable], [max_attempts] is
     reached, or the budget is spent.  [sleep] (default
     {!Gc_exec.Pool.nap}, the EINTR-safe sleep) is injectable so unit
-    tests can record the schedule instead of waiting it out. *)
+    tests can record the schedule instead of waiting it out.  [hint]
+    (default [0.]) is read after each retryable failure and stretches the
+    next delay to at least its value (a server's backoff hint) before the
+    budget trim, so a hint never sleeps past the budget either. *)

@@ -875,13 +875,14 @@ let test_set_assoc_capacity () =
   done;
   Alcotest.(check int) "occupancy" 8 (Policy.occupancy p)
 
-(* --------------------------------------------------------------- Parallel *)
+(* ---------------------------------------------------- parallel fan-out *)
 
 let test_parallel_map_matches_serial () =
   let xs = List.init 50 (fun i -> i) in
   Alcotest.(check (list int)) "order preserved"
     (List.map (fun x -> x * x) xs)
-    (Parallel.map ~domains:4 (fun x -> x * x) xs)
+    (List.map Test_util.pool_value
+       (Test_util.pool_map ~domains:4 (fun x -> x * x) xs))
 
 let test_parallel_sweep_matches_serial () =
   let trace =
@@ -890,18 +891,20 @@ let test_parallel_sweep_matches_serial () =
   in
   let points = [ 64; 128; 256; 512 ] in
   let make k = Registry.make "iblp" ~k ~blocks:trace.Trace.blocks ~seed:1 in
-  let serial =
-    List.map (fun k -> (k, Test_util.run_misses (make k) trace)) points
-  in
+  let cell k = (k, Test_util.run_misses (make k) trace) in
+  let serial = List.map cell points in
   let parallel =
-    Parallel.run_sweep ~domains:3 ~make ~trace points
-    |> List.map (fun (k, m) -> (k, m.Metrics.misses))
+    List.map Test_util.pool_value (Test_util.pool_map ~domains:3 cell points)
   in
   Alcotest.(check (list (pair int int))) "same results" serial parallel
 
 let test_parallel_propagates_exceptions () =
-  match Parallel.map ~domains:2 (fun x -> if x = 3 then failwith "boom" else x) [ 1; 2; 3 ] with
-  | exception _ -> ()
+  match
+    Test_util.pool_map ~domains:2
+      (fun x -> if x = 3 then failwith "boom" else x)
+      [ 1; 2; 3 ]
+  with
+  | [ Gc_exec.Pool.Done 1; Done 2; Failed (Failure _) ] -> ()
   | _ -> Alcotest.fail "exception swallowed"
 
 (* ----------------------------------------------- simulator sanity sweep *)

@@ -1,7 +1,7 @@
 (* The supervised execution runtime: Gc_exec (cancel tokens, pool,
    journal, checkpoint) plus the Gc_obs pieces it leans on (the JSON
    parser, atomic export, manifest run codecs) and the Gc_cache wiring
-   (Parallel result preservation, the Simulator progress hook, the
+   (fan-out result preservation, the Simulator progress hook, the
    broken:hang / broken:flaky drill policies). *)
 
 open Gc_exec
@@ -383,15 +383,15 @@ let test_pool_interrupt_drains () =
 
 let test_parallel_try_map_keeps_siblings () =
   let results =
-    Gc_cache.Parallel.try_map ~domains:3
+    Test_util.pool_map ~domains:3
       (fun i -> if i = 5 then failwith "odd one out" else i * 10)
       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
   in
   List.iteri
     (fun i r ->
       match r with
-      | Ok v when i <> 5 -> Alcotest.(check int) "sibling result" (i * 10) v
-      | Error (Failure m) when i = 5 ->
+      | Pool.Done v when i <> 5 -> Alcotest.(check int) "sibling result" (i * 10) v
+      | Pool.Failed (Failure m) when i = 5 ->
           Alcotest.(check string) "failure kept in slot" "odd one out" m
       | _ -> Alcotest.fail "unexpected slot")
     results
@@ -399,16 +399,17 @@ let test_parallel_try_map_keeps_siblings () =
 let test_parallel_map_raises_after_joining () =
   let completed = Atomic.make 0 in
   (match
-     Gc_cache.Parallel.map ~domains:2
-       (fun i ->
-         if i = 1 then failwith "first error"
-         else begin
-           Atomic.incr completed;
-           i
-         end)
-       [ 0; 1; 2; 3; 4; 5 ]
+     List.map Test_util.pool_value
+       (Test_util.pool_map ~domains:2
+          (fun i ->
+            if i = 1 then failwith "first error"
+            else begin
+              Atomic.incr completed;
+              i
+            end)
+          [ 0; 1; 2; 3; 4; 5 ])
    with
-  | _ -> Alcotest.fail "map swallowed the task failure"
+  | _ -> Alcotest.fail "the task failure was swallowed"
   | exception Failure m ->
       Alcotest.(check string) "lowest-index error" "first error" m);
   (* Every non-failing task still ran to completion before the raise. *)

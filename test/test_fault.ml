@@ -131,13 +131,13 @@ let test_sweep_degrades_gracefully () =
 
 let test_parallel_try_map () =
   let results =
-    Gc_cache.Parallel.try_map ~domains:2
+    Test_util.pool_map ~domains:2
       (fun i -> if i = 2 then failwith "boom" else i * 10)
       [ 0; 1; 2; 3 ]
   in
   match results with
-  | [ Ok 0; Ok 10; Error (Failure _); Ok 30 ] -> ()
-  | _ -> Alcotest.fail "try_map did not isolate the failing task"
+  | [ Gc_exec.Pool.Done 0; Done 10; Failed (Failure _); Done 30 ] -> ()
+  | _ -> Alcotest.fail "the pool did not isolate the failing task"
 
 let test_replicates_partial () =
   let trace = Test_util.trace_of (2, Array.init 100 (fun i -> i mod 10)) in

@@ -2,9 +2,10 @@
    schedule (recorded via an injected sleep, never slept), the Breaker
    state machine over a sliding window, Resilient_client against real
    in-process servers (reconnect across a restart, refused
-   classification, breaker fast-fail), and Supervise end-to-end with the
-   real ../bin/gcserved.exe child — SIGKILL then a clean drain with
-   exactly one restart, and the crash-loop give-up. *)
+   classification, breaker fast-fail, the one-endpoint retry schedule,
+   backoff hints under a budget) and over replica sets, and Supervise
+   end-to-end with the real ../bin/gcserved.exe child — SIGKILL then a
+   clean drain with exactly one restart, and the crash-loop give-up. *)
 
 module Json = Gc_obs.Json
 module Rng = Gc_trace.Rng
@@ -309,15 +310,17 @@ let test_rc_non_idempotent_single_shot () =
   Rc.close rc
 
 let test_rc_breaker_fast_fails () =
-  let breaker =
-    Breaker.create
-      ~config:
+  let rc =
+    Rc.create ~retry:fast_retry
+      ~breaker_config:
         { Breaker.window = 2; min_samples = 2; failure_threshold = 0.5;
           cooldown = 60. }
-      ()
+      (Client.Unix_path (fresh_sock ()))
   in
-  let rc =
-    Rc.create ~retry:fast_retry ~breaker (Client.Unix_path (fresh_sock ()))
+  let breaker =
+    match Pool.breaker (Rc.pool rc) 0 with
+    | Some b -> b
+    | None -> Alcotest.fail "breaker_config given, yet no breaker"
   in
   (* The two failing attempts of this one request trip the breaker. *)
   (match Rc.request rc health with
@@ -332,6 +335,102 @@ let test_rc_breaker_fast_fails () =
   | Error f -> Alcotest.failf "expected Open_circuit, got %s" (Rc.string_of_failure f)
   | Ok _ -> Alcotest.fail "breaker let a call through");
   Rc.close rc
+
+let test_rc_lone_endpoint_has_no_breaker () =
+  (* A lone endpoint has nowhere to fail over to: without a
+     breaker_config it must keep dialing through every attempt, well past
+     the point where a default breaker would have opened. *)
+  let attempts = Breaker.default_config.Breaker.min_samples + 3 in
+  let rc =
+    Rc.create
+      ~retry:{ fast_retry with Retry.max_attempts = attempts; max_delay = 0.01 }
+      ~retry_budget:None
+      (Client.Unix_path (fresh_sock ()))
+  in
+  Alcotest.(check bool) "no breaker" true (Pool.breaker (Rc.pool rc) 0 = None);
+  for _ = 1 to 2 do
+    match Rc.request rc health with
+    | Error (Rc.Transport ({ Client.kind = Client.Refused; _ }, n)) ->
+        Alcotest.(check int) "spent the whole policy" attempts n
+    | Error f -> Alcotest.failf "wrong failure: %s" (Rc.string_of_failure f)
+    | Ok _ -> Alcotest.fail "nothing was listening"
+  done;
+  Alcotest.(check int) "every attempt dialed" (2 * (attempts - 1)) (Rc.retries rc);
+  Rc.close rc
+
+let test_rc_sleeps_follow_the_seed () =
+  (* Each request against a dead socket fails twice and so sleeps
+     exactly once: the n-th request's wall time is the n-th jittered
+     delay of a Retry stream seeded like the client.  Full jitter makes
+     every draw visible in the timing. *)
+  let seed = 7 in
+  let policy =
+    { Retry.max_attempts = 2; base_delay = 0.2; max_delay = 0.2;
+      jitter = 1.; budget = None }
+  in
+  let rc =
+    Rc.create ~retry:policy ~retry_budget:None ~seed
+      (Client.Unix_path (fresh_sock ()))
+  in
+  let rng = Rng.create seed in
+  for n = 1 to 5 do
+    let want = Retry.delay_for policy ~rng ~attempt:1 in
+    let t0 = Unix.gettimeofday () in
+    (match Rc.request rc health with
+    | Error (Rc.Transport (_, 2)) -> ()
+    | Error f -> Alcotest.failf "wrong failure: %s" (Rc.string_of_failure f)
+    | Ok _ -> Alcotest.fail "nothing was listening");
+    let took = Unix.gettimeofday () -. t0 in
+    if took < want || took > want +. 0.06 then
+      Alcotest.failf "request %d took %.4fs, draw %d of seed %d is %.4fs" n took
+        n seed want
+  done;
+  Rc.close rc
+
+(* A server that sheds every request with a large backoff hint. *)
+let shedding_server path ~retry_after_ms =
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let serve () =
+    let fd, _ = Unix.accept listener in
+    let rec loop () =
+      match Gc_serve.Frame.read_fd ~frame_timeout:5. fd with
+      | Gc_serve.Frame.Frame req ->
+          let id = match req with Json.Obj f -> List.assoc_opt "id" f | _ -> None in
+          Gc_serve.Frame.write_fd fd
+            (Gc_serve.Protocol.error ?id ~retry_after_ms
+               ~kind:Gc_serve.Protocol.kind_overloaded "shed");
+          loop ()
+      | _ -> ()
+    in
+    loop ();
+    Unix.close fd;
+    Unix.close listener
+  in
+  Thread.create serve ()
+
+let test_rc_hint_within_budget () =
+  (* The hint (0.5s) is far past the session budget (0.1s): the client
+     must give up once the budget is spent, not after the hint. *)
+  let path = fresh_sock () in
+  let server = shedding_server path ~retry_after_ms:500 in
+  let rc =
+    Rc.create
+      ~retry:{ fast_retry with Retry.max_attempts = 10; budget = Some 0.1 }
+      ~retry_budget:None (Client.Unix_path path)
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Rc.request rc health with
+  | Error (Rc.Rejected (kind, _)) ->
+      Alcotest.(check string) "shed" Gc_serve.Protocol.kind_overloaded kind
+  | Error f -> Alcotest.failf "wrong failure: %s" (Rc.string_of_failure f)
+  | Ok _ -> Alcotest.fail "the server sheds everything");
+  let took = Unix.gettimeofday () -. t0 in
+  Rc.close rc;
+  Thread.join server;
+  if took > 0.3 then
+    Alcotest.failf "session took %.3fs against a 0.1s budget" took
 
 (* -------------------------------------------------------------- supervise *)
 
@@ -548,9 +647,9 @@ let test_pool_p2c_prefers_faster () =
     (Pool.latency_quantile p 1.0 = Some 0.5
     && Pool.latency_quantile p 0.0 = Some 0.01)
 
-(* ---------------------------------------------------------- multi client *)
+(* ---------------------------------------------------- replica-set client *)
 
-let test_multi_failover_to_live_replica () =
+let test_set_failover_to_live_replica () =
   let dead = fresh_sock () in
   let live = fresh_sock () in
   let t = tiny_server live in
@@ -558,25 +657,25 @@ let test_multi_failover_to_live_replica () =
     ~finally:(fun () -> Server.drain t)
     (fun () ->
       let mc =
-        Rc.Multi.create ~timeout:5. ~retry:fast_retry ~pool_config
+        Rc.create_set ~timeout:5. ~retry:fast_retry ~pool_config
           [ Client.Unix_path dead; Client.Unix_path live ]
       in
       (* Rotation makes the dead endpoint the primary of the first
          request; the refused dial must fail over within the attempt. *)
-      (match Rc.Multi.request mc health with
+      (match Rc.request mc health with
       | Ok _ -> ()
       | Error f -> Alcotest.failf "request failed: %s" (Rc.string_of_failure f));
       Alcotest.(check bool)
-        (Printf.sprintf "failed over (%d)" (Rc.Multi.failovers mc))
+        (Printf.sprintf "failed over (%d)" (Rc.failovers mc))
         true
-        (Rc.Multi.failovers mc >= 1);
-      Alcotest.(check int) "hedging is off by default" 0 (Rc.Multi.hedges mc);
+        (Rc.failovers mc >= 1);
+      Alcotest.(check int) "hedging is off by default" 0 (Rc.hedges mc);
       Alcotest.(check string)
         "the dead replica is marked" "suspect"
-        (Pool.state_name (Pool.state (Rc.Multi.pool mc) 0));
-      Rc.Multi.close mc)
+        (Pool.state_name (Pool.state (Rc.pool mc) 0));
+      Rc.close mc)
 
-let test_multi_hedge_second_replica_wins () =
+let test_set_hedge_second_replica_wins () =
   (* A blackhole primary: bound and listening but never accepting, so
      the dial and send succeed and the reply never comes.  The hedge
      fires at the live replica and its reply must win. *)
@@ -592,23 +691,23 @@ let test_multi_hedge_second_replica_wins () =
       Unix.close hole)
     (fun () ->
       let mc =
-        Rc.Multi.create ~timeout:5. ~retry:fast_retry ~pool_config
+        Rc.create_set ~timeout:5. ~retry:fast_retry ~pool_config
           ~hedge:
             {
-              Rc.Multi.default_hedge with
+              Rc.default_hedge with
               min_delay = 0.05;
               max_delay = 0.05;
               initial_delay = 0.05;
             }
           [ Client.Unix_path hole_path; Client.Unix_path live ]
       in
-      (match Rc.Multi.request mc health with
+      (match Rc.request mc health with
       | Ok _ -> ()
       | Error f ->
           Alcotest.failf "hedged request failed: %s" (Rc.string_of_failure f));
-      Alcotest.(check int) "one hedge fired" 1 (Rc.Multi.hedges mc);
-      Alcotest.(check int) "the hedge won" 1 (Rc.Multi.hedge_wins mc);
-      Rc.Multi.close mc)
+      Alcotest.(check int) "one hedge fired" 1 (Rc.hedges mc);
+      Alcotest.(check int) "the hedge won" 1 (Rc.hedge_wins mc);
+      Rc.close mc)
 
 (* ----------------------------------------------------------------- fleet *)
 
@@ -752,13 +851,19 @@ let () =
           Alcotest.test_case "non-idempotent is single-shot" `Quick
             test_rc_non_idempotent_single_shot;
           Alcotest.test_case "breaker fast-fails" `Quick test_rc_breaker_fast_fails;
+          Alcotest.test_case "lone endpoint has no breaker" `Quick
+            test_rc_lone_endpoint_has_no_breaker;
+          Alcotest.test_case "sleeps follow the seed" `Quick
+            test_rc_sleeps_follow_the_seed;
+          Alcotest.test_case "hint stays within the budget" `Quick
+            test_rc_hint_within_budget;
         ] );
       ( "multi",
         [
           Alcotest.test_case "failover to a live replica" `Quick
-            test_multi_failover_to_live_replica;
+            test_set_failover_to_live_replica;
           Alcotest.test_case "hedge: second replica wins" `Quick
-            test_multi_hedge_second_replica_wins;
+            test_set_hedge_second_replica_wins;
         ] );
       ( "fleet",
         [

@@ -38,6 +38,20 @@ end
 let run_misses policy trace =
   (Gc_cache.Simulator.run policy trace).Gc_cache.Metrics.misses
 
+(* [f] over [xs] on the supervised pool, one task per element and no
+   retries: every task runs, and outcomes come back in input order. *)
+let pool_map ~domains f xs =
+  Gc_exec.Pool.run
+    ~config:{ (Gc_exec.Pool.default_config ()) with Gc_exec.Pool.domains; retries = 0 }
+    (List.map (fun x ~cancel:_ -> f x) xs)
+
+(* A settled task's value; a failed task re-raises its exception. *)
+let pool_value = function
+  | Gc_exec.Pool.Done v -> v
+  | Gc_exec.Pool.Failed exn -> raise exn
+  | Gc_exec.Pool.Timed_out _ | Gc_exec.Pool.Cancelled ->
+      Alcotest.fail "a pool task was interrupted"
+
 (* qcheck generator for a small random trace plus a block size. *)
 let small_trace_gen ?(max_universe = 12) ?(max_len = 40) () =
   QCheck.Gen.(
